@@ -28,7 +28,7 @@ type BenchRow struct {
 }
 
 // benchCmd implements `fugusim bench`: run the three representative
-// workloads (barrier: baton-heavy synchronization; synth: multiprogrammed
+// workloads (barrier: proc-switch-heavy synchronization; synth: multiprogrammed
 // producer/consumer traffic; crlstress: coherence-protocol request/reply
 // plus bulk data), measure simulator throughput and allocation rates, and
 // write the report as JSON. With -baseline it compares throughput against a

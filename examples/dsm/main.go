@@ -22,6 +22,7 @@ const (
 func main() {
 	// Bulk coherence messages ride the modelled DMA descriptor.
 	m := fugu.NewMachine(fugu.DefaultConfig(), fugu.WithOutputWords(64))
+	defer m.Close()
 	job := m.NewJob("heat")
 	nodes := len(m.Nodes)
 	per := cells / nodes

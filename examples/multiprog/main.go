@@ -25,6 +25,7 @@ func main() {
 		// boundaries exactly as in the paper's experiments.
 		m.NewGang(100_000, skew, app, null).Start()
 		m.RunUntilDone(0, app)
+		m.Close()
 
 		if err := inst.Check(); err != nil {
 			fmt.Println("CHECK FAILED:", err)

@@ -20,6 +20,7 @@ const (
 
 func main() {
 	m := fugu.NewMachine(fugu.DefaultConfig(), fugu.WithMesh(2, 1), fugu.WithFrames(frames))
+	defer m.Close()
 	job := m.NewJob("flood")
 	null := m.NewJob("null")
 	fugu.Attach(null.Process(0))

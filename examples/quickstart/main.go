@@ -16,6 +16,7 @@ const (
 
 func main() {
 	m := fugu.NewMachine(fugu.DefaultConfig(), fugu.WithMesh(2, 1))
+	defer m.Close()
 	job := m.NewJob("pingpong")
 
 	ep0 := fugu.Attach(job.Process(0))

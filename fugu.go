@@ -20,6 +20,7 @@
 // A minimal program sends one message between two nodes:
 //
 //	m := fugu.NewMachine(fugu.DefaultConfig())
+//	defer m.Close() // unwind tasks still parked when the run ends
 //	job := m.NewJob("hello")
 //	ep0 := fugu.Attach(job.Process(0))
 //	ep1 := fugu.Attach(job.Process(1))

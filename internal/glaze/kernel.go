@@ -270,7 +270,9 @@ func (k *Kernel) bufferInsert(t *cpu.Task, p *Process, pkt *mesh.Packet) {
 	if !p.buffered {
 		p.buffered = true
 		k.mEnterInsert.Inc()
-		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (insert)", p.job.name)
+		if k.m.Trace != nil {
+			k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (insert)", p.job.name)
+		}
 		if p.scheduled {
 			k.ni.SetDivert(true)
 		}
@@ -295,7 +297,9 @@ func (k *Kernel) timeoutISR(t *cpu.Task) {
 		return // stale timeout (mode already shifted)
 	}
 	t.Spend(k.cost.RevokeCost)
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
+	if k.m.Trace != nil {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
+	}
 	p.Revocations++
 	k.mRevocations.Inc()
 	k.mEnterRevoke.Inc()
@@ -479,7 +483,9 @@ func (k *Kernel) exitBuffered(t *cpu.Task, p *Process) {
 	if k.m.alwaysBuffered {
 		return
 	}
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "exit buffered %s", p.job.name)
+	if k.m.Trace != nil {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "exit buffered %s", p.job.name)
+	}
 	k.mExitBuffered.Inc()
 	p.buffered = false
 	p.atomicVirtual = false
@@ -533,7 +539,9 @@ func (k *Kernel) SyntheticHandlerFault(t *cpu.Task, p *Process) {
 	if k.kernelBuffered && !p.buffered {
 		p.buffered = true
 		k.mEnterFault.Inc()
-		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (injected fault)", p.job.name)
+		if k.m.Trace != nil {
+			k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (injected fault)", p.job.name)
+		}
 		p.atomicVirtual = true // the faulting handler holds atomicity
 		k.ni.SetUACKernel(nic.UACAtomicityExtend, true)
 		k.ni.SetDivert(true)
@@ -549,7 +557,9 @@ func (k *Kernel) ForceQuantumExpiry(p *Process, resumeAfter uint64) {
 	if p == nil || k.current != p {
 		return
 	}
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Sched, "forced quantum expiry %s", p.job.name)
+	if k.m.Trace != nil {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Sched, "forced quantum expiry %s", p.job.name)
+	}
 	k.switchTarget = nil
 	k.switchValid = true
 	k.gangIRQ.Raise()
@@ -619,8 +629,10 @@ func (k *Kernel) checkOverflow(t *cpu.Task, p *Process) {
 	}
 	k.OverflowTrips++
 	k.mOverflowTrips.Inc()
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "trip %s: %d/%d frames",
-		p.job.name, k.frames.InUse(), k.frames.Total())
+	if k.m.Trace != nil {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "trip %s: %d/%d frames",
+			p.job.name, k.frames.InUse(), k.frames.Total())
+	}
 	p.job.overflowed = true
 	p.job.overflowSeq++
 	k.broadcastOS(osOpSuspendJob, uint64(p.gid)|p.job.overflowSeq<<16)
@@ -640,7 +652,9 @@ func (k *Kernel) maybeLiftOverflow(p *Process) {
 	p.job.overflowed = false
 	p.job.overflowSeq++
 	k.mOverflowReleases.Inc()
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "release %s", p.job.name)
+	if k.m.Trace != nil {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "release %s", p.job.name)
+	}
 	k.broadcastOS(osOpResumeJob, uint64(p.gid)|p.job.overflowSeq<<16)
 	if k.m.Gang != nil {
 		k.m.Gang.Unprefer(p.job)

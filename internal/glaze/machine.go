@@ -315,6 +315,16 @@ func (m *Machine) shardEngines() []*sim.Engine {
 	return engs
 }
 
+// Close unwinds every task still parked on the machine's engines (see
+// sim.Engine.Close), so an abandoned or finished machine holds no
+// goroutines. Results already read stay valid; the machine must not be run
+// afterwards. Calling Close twice is harmless.
+func (m *Machine) Close() {
+	for _, e := range m.shardEngines() {
+		e.Close()
+	}
+}
+
 // Cost returns the machine's cost model.
 func (m *Machine) Cost() CostModel { return m.cost }
 

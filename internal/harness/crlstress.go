@@ -130,6 +130,7 @@ func runCRLStress(ops int, opt Options) crlStressPoint {
 		mut(&cfg)
 	}
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	job := m.NewJob("stress")
 	crls := make([]*crl.Node, nodes)
 	eps := make([]*udm.EP, nodes)

@@ -428,6 +428,7 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 	rec := cfg.Spans
 
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	nodes := m.Net.Nodes()
 	job := m.NewJob("crucible")
 

@@ -101,6 +101,7 @@ func RunStandaloneMut(make func() apps.Instance, seed uint64, mut func(*glaze.Co
 		mut(&cfg)
 	}
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	job := m.NewJob(inst.Name())
 	instrument(m, job, inst)
 	m.NewGang(1<<40, 0, job).Start()
@@ -123,6 +124,7 @@ func RunMultiprogrammedQ(make func() apps.Instance, skew float64, seed uint64, q
 		mut(&cfg)
 	}
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	job := m.NewJob(inst.Name())
 	null := m.NewJob("null")
 	instrument(m, job, inst)

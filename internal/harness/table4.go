@@ -129,6 +129,7 @@ func measureNullMessage(impl glaze.AtomicityImpl, opt Options) table4Point {
 			mut(&cfg)
 		}
 		m := glaze.NewMachine(cfg)
+		defer m.Close()
 		job := m.NewJob("pingpong")
 		ep0 := udm.Attach(job.Process(0))
 		ep1 := udm.Attach(job.Process(1))
@@ -186,6 +187,7 @@ func measureInterrupt(impl glaze.AtomicityImpl, opt Options) (uint64, metrics.Sn
 		mut(&cfg)
 	}
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	job := m.NewJob("pingpong")
 	ep0 := udm.Attach(job.Process(0))
 	ep1 := udm.Attach(job.Process(1))

@@ -73,6 +73,7 @@ func table5Measure(mut func(*glaze.Config)) Table5Result {
 		mut(&cfg)
 	}
 	m := glaze.NewMachine(cfg)
+	defer m.Close()
 	job := m.NewJob("bufbench")
 	null := m.NewJob("null")
 	ep0 := udm.Attach(job.Process(0))

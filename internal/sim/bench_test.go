@@ -35,8 +35,8 @@ func BenchmarkScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkScheduleWake measures the proc wake path: a single proc sleeping
-// one cycle at a time. With the park fast path this resumes inline, without
-// any channel handoff, and the proc-carrying wake event allocates nothing.
+// one cycle at a time, so each iteration is one coroutine yield and resume
+// through the event loop. The proc-carrying wake event allocates nothing.
 func BenchmarkScheduleWake(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {
@@ -49,11 +49,12 @@ func BenchmarkScheduleWake(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkBatonRoundTrip measures a cross-proc switch: two procs waking
-// each other alternately, the pattern the baton protocol pays goroutine
-// handoffs for (a parking proc dispatches the next one directly).
+// BenchmarkBatonRoundTrip measures a cross-proc round trip: two procs
+// waking each other alternately, so each iteration is two coroutine
+// switches out to the event loop and two back in.
 func BenchmarkBatonRoundTrip(b *testing.B) {
 	e := NewEngine(1)
+	defer e.Close() // pong is left parked
 	var pa, pb *Proc
 	pa = e.Spawn("ping", func(p *Proc) {
 		// Let pong consume its spawn dispatch and park before the first wake.

@@ -15,7 +15,7 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 // As with sync.Cond, callers re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park()
+	p.Park()
 }
 
 // Signal wakes the longest-waiting proc, if any, and reports whether one was

@@ -7,16 +7,17 @@ import (
 )
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use from multiple goroutines except through the Proc baton
-// protocol, which guarantees only one coroutine touches the engine at a time.
+// concurrent use: the event loop and its procs take turns on one logical
+// thread, because a proc runs only between its dispatch and its next park.
 type Engine struct {
 	now     uint64
 	seq     uint64
 	heap    eventHeap
 	free    *Event // recycled event structs (see event.go)
-	current *Proc  // proc currently holding the baton, nil in engine context
+	current *Proc  // proc currently running, nil in engine context
 	stopped bool
-	live    int // number of live (spawned, not finished) procs
+	live    int     // number of live (spawned, not finished) procs
+	started []*Proc // procs whose coroutine exists and has not finished (Close unwinds them)
 
 	// Limit, when nonzero, bounds simulated time: Run returns once the
 	// next event would fire after Limit.
@@ -126,7 +127,7 @@ func (e *Engine) ScheduleArg(delay uint64, fn func(any), arg any) Handle {
 	return Handle{ev, ev.gen}
 }
 
-// scheduleProc registers a baton dispatch of p at now+delay — the wake path.
+// scheduleProc registers a dispatch of p at now+delay — the wake path.
 // Storing the proc on the event (rather than a func(){ e.dispatch(p) }
 // closure) is what makes Wake/Sleep allocation-free. Wakes inherit the
 // proc's site label, so a task's resume events attribute to its domain.
@@ -314,6 +315,6 @@ func (e *Engine) LiveProcs() int {
 	return e.live
 }
 
-// Current returns the proc currently holding the baton, or nil when the
-// engine loop (or an event callback) is executing.
+// Current returns the proc currently running, or nil when the engine loop
+// (or an event callback) is executing.
 func (e *Engine) Current() *Proc { return e.current }

@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine owns a global event queue ordered by (time, sequence) and a set
-// of coroutines (Proc) that run one at a time under a strict baton: at any
-// instant either the engine loop or exactly one Proc is executing. Given the
+// of coroutines (Proc) that run one at a time: the event loop resumes a proc
+// to dispatch it and the proc yields back when it parks, so at any instant
+// either the engine loop or exactly one Proc is executing. Given the
 // same inputs and seed, a simulation is bit-reproducible, which the
 // experiment harness relies on.
 //

@@ -1,229 +1,129 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"runtime/pprof"
 	"strconv"
 )
 
-// Proc is a simulated coroutine: a goroutine that runs only while it holds
-// the engine baton. Procs yield the baton by parking (Park, Sleep) and are
-// handed it back by events scheduled through the engine. Exactly one proc or
-// the engine loop executes at any moment, so proc code needs no locking.
+// Proc is a simulated coroutine built on iter.Pull: the event loop resumes
+// it to dispatch it, and it yields back by parking (Park, Sleep, Yield).
+// Exactly one proc or the engine loop executes at any moment, so proc code
+// needs no locking. The coroutine is created at the first dispatch, so a
+// spawned proc that never runs owns no goroutine.
 type Proc struct {
 	eng  *Engine
 	name string
-	// baton is the single rendezvous channel of the handoff protocol: the
-	// engine sends to grant the baton and then receives to take it back;
-	// the proc mirrors that. Because exactly one side executes at a time,
-	// one unbuffered channel serves both directions.
-	baton chan struct{}
-	done  bool
-	wake  Handle // pending wake event, if any (Sleep/WakeAfter bookkeeping)
-	// chained marks a proc that parked but is resuming inline: it is either
-	// running the engine loop itself or blocked inside an inline dispatch it
-	// issued (see park). Its baton must not be poked until the chain unwinds
-	// back to it, because it is not listening on it.
-	chained bool
-	// site labels this proc's wake events for the cost profiler (SetSite).
-	site Site
+	fn   func(p *Proc)
+
+	// next resumes the coroutine, stop unwinds it and yield parks it; all
+	// three are set from the first dispatch until the proc finishes.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	slot  int // index in eng.started while the coroutine exists
+
+	done bool
+	wake Handle // pending wake event, if any (Sleep/WakeAfter bookkeeping)
+	site Site   // profiler label of this proc's wake events (SetSite)
 
 	// Tag is free for higher layers (e.g. the CPU scheduler) to attach
 	// identity to a proc; the engine never touches it.
 	Tag any
 }
 
+// errUnwind is what Park panics with in a proc that Engine.Close stops.
+var errUnwind = errors.New("sim: proc unwound by Engine.Close")
+
 // Spawn creates a proc running fn and schedules its first dispatch at the
 // current time. fn runs in proc context: it may Park, Sleep, schedule events
-// and wake other procs, and it holds the baton until it yields or returns.
+// and wake other procs, and it keeps running until it parks or returns.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:   e,
-		name:  name,
-		baton: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, fn: fn}
 	e.live++
-	body := func() {
-		<-p.baton
-		fn(p)
-		p.done = true
-		e.live--
-		p.baton <- struct{}{}
-	}
-	if e.g != nil {
-		// Partitioned engines label their proc goroutines so a CPU profile
-		// slices by partition (composing with inherited experiment/point
-		// labels from the harness worker that built the machine).
-		go pprof.Do(context.Background(), pprof.Labels("partition", strconv.Itoa(e.part)), func(context.Context) { body() })
-	} else {
-		go body()
-	}
 	p.wake = e.scheduleProc(0, p)
 	return p
 }
 
-// dispatch hands the baton to p and blocks (in engine context) until p parks
-// or finishes. It must only be called from engine context.
-func (e *Engine) dispatch(p *Proc) {
-	if e.current != nil {
-		panic(fmt.Sprintf("sim: dispatch(%s) while %s holds the baton", p.name, e.current.name))
+// run is the coroutine body.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer p.finish()
+	if e := p.eng; e.g != nil {
+		// Label grouped procs so a CPU profile slices by partition, under
+		// the experiment/point labels inherited from the harness worker.
+		pprof.Do(context.Background(), pprof.Labels("partition", strconv.Itoa(e.part)), func(context.Context) { p.fn(p) })
+	} else {
+		p.fn(p)
 	}
+}
+
+// finish retires a proc that returned, unwound or panicked. Only the unwind
+// sentinel is swallowed; any other panic goes on to the caller of Run.
+func (p *Proc) finish() {
+	e := p.eng
+	p.done = true
+	e.live--
+	last := e.started[len(e.started)-1]
+	e.started[p.slot] = last
+	last.slot = p.slot
+	e.started[len(e.started)-1] = nil
+	e.started = e.started[:len(e.started)-1]
+	p.fn, p.next, p.stop, p.yield = nil, nil, nil, nil
+	if r := recover(); r != nil && r != errUnwind {
+		panic(r)
+	}
+}
+
+// dispatch resumes p until it parks or finishes. Only the event loops call
+// it, so no proc is running when it starts.
+func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: dispatch of finished proc %s", p.name))
 	}
 	p.wake = Handle{}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+		p.slot = len(e.started)
+		e.started = append(e.started, p)
+	}
 	e.current = p
-	p.baton <- struct{}{}
-	<-p.baton
+	p.next()
 	e.current = nil
 }
 
-// park yields the baton and blocks until the next wake.
-//
-// Fast path: instead of bouncing the baton back through its dispatcher, the
-// parking proc keeps running the engine loop itself — popping events in
-// exactly the (at, seq) order the engine loop would use. Plain callbacks run
-// inline (with current == nil, as in engine context); the proc's own wake
-// resumes it on the spot with zero channel operations; and a wake for
-// another really-parked proc is dispatched directly, one goroutine handoff
-// where the engine-mediated route costs two. The procs form a dispatch
-// chain (engine → a → b → ...): each link is blocked in its inline dispatch
-// waiting for the baton of the proc below, and the deepest proc is the one
-// acting as the engine.
-//
-// The one event the acting proc must not handle itself is a wake for a proc
-// marked chained — an ancestor in the chain, which is blocked on its
-// child's baton, not its own. The actor leaves that event queued and falls
-// back to the real handoff, which unwinds the chain link by link (each
-// ancestor re-checks the same head event) until it reaches the woken proc,
-// whose own loop pops the event and resumes. Stop, a reached time limit and
-// an empty queue unwind the same way, so Engine.Run regains control with
-// every proc really parked. Dispatch order and callback context are
-// identical to the engine-mediated path throughout — only which goroutine
-// executes the loop changes.
-func (p *Proc) park() {
-	e := p.eng
-	if e.current != p {
-		panic(fmt.Sprintf("sim: %s parking without the baton", p.name))
+// Close unwinds every started, unfinished proc, running its deferred calls,
+// and leaves procs never dispatched alone. Call it from outside the
+// simulation once it is over or abandoned; a second Close is a no-op.
+func (e *Engine) Close() {
+	for len(e.started) > 0 {
+		e.started[len(e.started)-1].stop()
 	}
-	if g := e.g; g != nil && g.mode == Merged {
-		p.parkMerged(g)
-		return
-	}
-	e.current = nil
-	p.chained = true
-	for !e.stopped {
-		ev := e.heap.peek()
-		if ev == nil {
-			break
-		}
-		if e.Limit != 0 && ev.at > e.Limit {
-			break
-		}
-		if q := ev.proc; q != nil && q != p && q.chained {
-			break // wake for an ancestor: unwind the chain to it
-		}
-		e.heap.pop()
-		if ev.at < e.now {
-			panic("sim: event queue went backwards")
-		}
-		e.now = ev.at
-		e.events.Inc()
-		if e.prof != nil {
-			e.prof.tick(ev.site, e.now)
-		}
-		if q := ev.proc; q != nil {
-			e.release(ev)
-			if q == p {
-				// Our own wake: resume in place, mirroring dispatch's
-				// bookkeeping (clear the wake handle, retake the baton).
-				p.wake = Handle{}
-				p.chained = false
-				e.current = p
-				return
-			}
-			e.dispatch(q)
-		} else if fn := ev.fn; fn != nil {
-			e.release(ev)
-			fn()
-		} else {
-			fn, arg := ev.fnArg, ev.arg
-			e.release(ev)
-			fn(arg)
-		}
-	}
-	p.chained = false
-	p.baton <- struct{}{}
-	<-p.baton
-	e.current = p
-}
-
-// parkMerged is park's inline loop generalized to a merged partition group:
-// identical protocol (chained-ancestor unwinding, in-place resume of the
-// proc's own wake, inline callbacks), but the next event is the global
-// (time, seq) minimum across every shard heap and the shared clock
-// advances. A dispatched proc may live on any shard; its own engine runs
-// the handoff, so the chain can cross shards and still unwind link by link.
-func (p *Proc) parkMerged(g *Group) {
-	e := p.eng
-	e.current = nil
-	p.chained = true
-	for !g.stopped {
-		sh := g.minShard()
-		if sh == nil {
-			break
-		}
-		ev := sh.heap.peek()
-		if g.limit != 0 && ev.at > g.limit {
-			break
-		}
-		if q := ev.proc; q != nil && q != p && q.chained {
-			break // wake for an ancestor: unwind the chain to it
-		}
-		sh.heap.pop()
-		if ev.at < g.now {
-			panic("sim: event queue went backwards")
-		}
-		g.now = ev.at
-		sh.events.Inc()
-		if sh.prof != nil {
-			sh.prof.tick(ev.site, g.now)
-		}
-		if q := ev.proc; q != nil {
-			sh.release(ev)
-			if q == p {
-				p.wake = Handle{}
-				p.chained = false
-				e.current = p
-				return
-			}
-			q.eng.dispatch(q)
-		} else if fn := ev.fn; fn != nil {
-			sh.release(ev)
-			fn()
-		} else {
-			fn, arg := ev.fnArg, ev.arg
-			sh.release(ev)
-			fn(arg)
-		}
-	}
-	p.chained = false
-	p.baton <- struct{}{}
-	<-p.baton
-	e.current = p
 }
 
 // Park blocks the proc until some event wakes it via Engine.Wake or
 // Engine.WakeAfter. The caller must have arranged for such a wake, or the
-// proc will sleep forever (and LiveProcs will expose the leak).
-func (p *Proc) Park() { p.park() }
+// proc will sleep forever (and LiveProcs will expose the leak). If the
+// engine is closed meanwhile, Park unwinds the proc instead of returning.
+func (p *Proc) Park() {
+	if p.eng.current != p {
+		panic(fmt.Sprintf("sim: %s parking while not running", p.name))
+	}
+	if !p.yield(struct{}{}) {
+		panic(errUnwind)
+	}
+}
 
 // Sleep blocks the proc for exactly n cycles. A Sleep cannot be interrupted;
 // preemptible waiting is built by higher layers from WakeAfter + CancelWake.
 func (p *Proc) Sleep(n uint64) {
 	p.eng.WakeAfter(p, n)
-	p.park()
+	p.Park()
 }
 
 // Yield parks the proc and schedules it to resume at the current time, after
@@ -231,7 +131,7 @@ func (p *Proc) Sleep(n uint64) {
 // consuming simulated time.
 func (p *Proc) Yield() {
 	p.eng.WakeAfter(p, 0)
-	p.park()
+	p.Park()
 }
 
 // SetSite labels the proc's wake events for the cost profiler: every
@@ -256,10 +156,8 @@ func (p *Proc) Done() bool { return p.done }
 // Now is a convenience for p.Engine().Now().
 func (p *Proc) Now() uint64 { return p.eng.Now() }
 
-// Wake schedules p to be dispatched at the current simulation time. It is
-// the only way code outside a proc hands it the baton. Waking a proc that
-// already has a pending wake is a bug in the caller and panics, because a
-// double dispatch would corrupt the baton protocol.
+// Wake schedules p to be dispatched at the current simulation time. Waking
+// a proc that already has a pending wake is a caller bug and panics.
 func (e *Engine) Wake(p *Proc) Handle {
 	return e.WakeAfter(p, 0)
 }

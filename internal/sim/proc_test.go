@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
@@ -201,5 +205,97 @@ func TestCondSignalEmpty(t *testing.T) {
 	}
 	if n := c.Broadcast(); n != 0 {
 		t.Errorf("Broadcast on empty cond = %d, want 0", n)
+	}
+}
+
+func TestProcPanicReachesRun(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("bystander", func(p *Proc) { p.Park() })
+	e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(10)
+		panic("boom in proc")
+	})
+	defer e.Close()
+	defer func() {
+		if r := recover(); r != "boom in proc" {
+			t.Errorf("Run panicked with %v, want the proc's panic value", r)
+		}
+		if e.LiveProcs() != 1 {
+			t.Errorf("LiveProcs = %d after the panic, want 1 (the bystander)", e.LiveProcs())
+		}
+	}()
+	e.Run()
+	t.Error("Run returned normally past a panicking proc")
+}
+
+// settledGoroutines waits briefly for exiting goroutines to leave the count
+// and then reports it.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n != want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestCloseUnwindsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	const parked = 5
+	unwound := 0
+	for i := 0; i < parked; i++ {
+		e.Spawn("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(uint64(i))
+			p.Park() // never woken
+			t.Error("parked proc resumed")
+		})
+	}
+	e.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(1_000)
+	})
+	e.Spawn("stopper", func(p *Proc) {
+		p.Sleep(100)
+		e.Stop()
+		// Spawned while stopping: its first dispatch never happens.
+		e.Spawn("unrun", func(*Proc) { t.Error("unrun proc ran") })
+	})
+	e.Run()
+	if n := settledGoroutines(base + parked + 1); n != base+parked+1 {
+		t.Errorf("goroutines = %d with %d procs parked, want %d: an unrun or finished proc holds one", n, parked+1, base+parked+1)
+	}
+	e.Close()
+	if unwound != parked+1 {
+		t.Errorf("%d deferred calls ran, want %d", unwound, parked+1)
+	}
+	if e.LiveProcs() != 1 {
+		t.Errorf("LiveProcs = %d after Close, want 1 (the unrun proc)", e.LiveProcs())
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
+	}
+	e.Close()
+	if unwound != parked+1 {
+		t.Errorf("second Close ran %d more deferred calls", unwound-parked-1)
+	}
+}
+
+func TestCloseUnwindsMergedGroupShards(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := NewMergedGroup(1, 2)
+	for i := 0; i < g.Parts(); i++ {
+		g.Shard(i).Spawn("stuck", func(p *Proc) { p.Park() })
+	}
+	g.Shard(0).Run()
+	for i := 0; i < g.Parts(); i++ {
+		g.Shard(i).Close()
+	}
+	if got := g.Shard(0).LiveProcs(); got != 0 {
+		t.Errorf("LiveProcs = %d after closing every shard, want 0", got)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
 	}
 }
