@@ -91,6 +91,17 @@ type Stats struct {
 	Refused uint64 // Arrive rejections (backpressure events)
 }
 
+// route is one in-flight route out of a source: key is dst<<1 | class,
+// and at is the arrival time of the route's last packet.
+type route struct {
+	at  uint64
+	key int32
+}
+
+// routeSlots is the row capacity each source gets from the shared backing
+// array; a busier row spills to its own array on append.
+const routeSlots = 4
+
 // Net is the interconnect for a machine of W×H nodes.
 type Net struct {
 	eng       *sim.Engine
@@ -114,10 +125,13 @@ type Net struct {
 	endpoints [numClasses][]Endpoint
 	// blocked packets per (class, dst), FIFO in arrival order.
 	blocked [numClasses][][]*Packet
-	// lastArrive enforces per-(src,dst) FIFO: a short packet must not
+	// routes enforces per-(src,dst,class) FIFO: a short packet must not
 	// overtake an earlier long one on the same route (packets follow the
-	// same path and cannot reorder in a wormhole mesh). Indexed src*n+dst.
-	lastArrive [numClasses][]uint64
+	// same path and cannot reorder in a wormhole mesh). routes[src] lists
+	// the routes out of src that still have a packet in flight, with the
+	// last one's arrival time, so the table costs O(in-flight), not
+	// O(nodes²). Only src's engine touches its row.
+	routes [][]route
 	// stats are kept in per-node lanes — Packets/Words owned by the
 	// sender, Refused by the receiver — so parallel partitions never write
 	// the same word; StatsFor sums them.
@@ -173,8 +187,14 @@ func New(eng *sim.Engine, w, h int, lat LatencyModel) *Net {
 	for c := range net.endpoints {
 		net.endpoints[c] = make([]Endpoint, n)
 		net.blocked[c] = make([][]*Packet, n)
-		net.lastArrive[c] = make([]uint64, n*n)
 		net.stats[c] = make([]Stats, n)
+	}
+	// Carve every row from one array: growing each from nil would cost
+	// an allocation per node.
+	slots := make([]route, n*routeSlots)
+	net.routes = make([][]route, n)
+	for i := range net.routes {
+		net.routes[i] = slots[i*routeSlots : i*routeSlots : (i+1)*routeSlots]
 	}
 	return net
 }
@@ -316,11 +336,26 @@ func (n *Net) SendPacket(class Class, src, dst int, pkt *Packet) *Packet {
 	}
 	// Same-route FIFO: a short packet sent after a long one queues behind
 	// it rather than overtaking (length-dependent latency must not reorder
-	// a pair's traffic).
-	if last := n.lastArrive[class][src*n.Nodes()+dst]; at <= last {
+	// a pair's traffic). The scan drops routes whose last packet arrived
+	// before now: this send lands at now or later, so they cannot clamp
+	// it. A route with no entry clamps like a last arrival at 0.
+	key := int32(dst)<<1 | int32(class)
+	var last uint64
+	row := n.routes[src]
+	live := row[:0]
+	for _, r := range row {
+		switch {
+		case r.at < now:
+		case r.key == key:
+			last = r.at
+		default:
+			live = append(live, r)
+		}
+	}
+	if at <= last {
 		at = last + 1
 	}
-	n.lastArrive[class][src*n.Nodes()+dst] = at
+	n.routes[src] = append(live, route{at: at, key: key})
 	se.CrossScheduleArgAtSite(n.engAt(dst), siteDeliver, at, n.deliverFn, pkt)
 	return pkt
 }

@@ -81,7 +81,9 @@ func BenchmarkBatonRoundTrip(b *testing.B) {
 }
 
 // BenchmarkHeapChurn measures cancel+reschedule against a deep queue: the
-// 4-ary heap's middle-removal and insert with ~1k events pending.
+// 4-ary heap's middle-removal and insert with ~1k events pending. Every
+// event is a million or more cycles out, far beyond the timing wheel, so
+// this exercises the far heap alone.
 func BenchmarkHeapChurn(b *testing.B) {
 	e := NewEngine(7)
 	fn := func() {}
@@ -97,4 +99,30 @@ func BenchmarkHeapChurn(b *testing.B) {
 		e.Cancel(hs[j])
 		hs[j] = e.Schedule(1_000_000+e.Rand().Uint64n(1_000_000), fn)
 	}
+}
+
+// BenchmarkDeepScheduleFire measures schedule+fire with 4096 events
+// pending and delays of 1 to 200 cycles: the shape of a 64x64 mesh in which
+// every node keeps an injection outstanding. Each iteration fires one
+// event, which schedules its successor.
+func BenchmarkDeepScheduleFire(b *testing.B) {
+	const depth = 4096
+	e := NewEngine(1)
+	rng := NewRand(1)
+	fired := 0
+	var fn func()
+	fn = func() {
+		fired++
+		if fired >= b.N {
+			e.Stop()
+			return
+		}
+		e.Schedule(1+rng.Uint64n(200), fn)
+	}
+	for i := 0; i < depth; i++ {
+		e.Schedule(1+rng.Uint64n(200), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

@@ -12,7 +12,6 @@ import (
 type Engine struct {
 	now     uint64
 	seq     uint64
-	heap    eventHeap
 	free    *Event // recycled event structs (see event.go)
 	current *Proc  // proc currently running, nil in engine context
 	stopped bool
@@ -34,6 +33,8 @@ type Engine struct {
 	// standalone hot path.
 	g    *Group
 	part int
+
+	queue eventQueue
 }
 
 // UseMetrics binds the engine's instruments into a registry. The engine
@@ -110,7 +111,7 @@ func (e *Engine) release(ev *Event) {
 func (e *Engine) Schedule(delay uint64, fn func()) Handle {
 	ev := e.alloc(delay)
 	ev.fn = fn
-	e.heap.push(ev)
+	e.queue.push(ev)
 	return Handle{ev, ev.gen}
 }
 
@@ -123,7 +124,7 @@ func (e *Engine) ScheduleArg(delay uint64, fn func(any), arg any) Handle {
 	ev := e.alloc(delay)
 	ev.fnArg = fn
 	ev.arg = arg
-	e.heap.push(ev)
+	e.queue.push(ev)
 	return Handle{ev, ev.gen}
 }
 
@@ -135,7 +136,7 @@ func (e *Engine) scheduleProc(delay uint64, p *Proc) Handle {
 	ev := e.alloc(delay)
 	ev.proc = p
 	ev.site = p.site
-	e.heap.push(ev)
+	e.queue.push(ev)
 	return Handle{ev, ev.gen}
 }
 
@@ -183,15 +184,15 @@ func (e *Engine) ScheduleArgAtSite(site Site, at uint64, fn func(any), arg any) 
 
 // Cancel removes a pending event; cancelling an already-fired, already-
 // cancelled or zero handle is a no-op. The removal happens on the owning
-// engine's heap, so cancelling a cross-shard wake inside a merged group is
+// engine's queue, so cancelling a cross-shard wake inside a merged group is
 // safe.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.index < 0 {
+	if ev == nil || ev.gen != h.gen || ev.index == -1 {
 		return
 	}
 	ow := ev.owner
-	ow.heap.remove(int(ev.index))
+	ow.queue.remove(ev)
 	ow.release(ev)
 }
 
@@ -231,7 +232,7 @@ func (e *Engine) Run() uint64 {
 	return e.runLocal()
 }
 
-// runLocal is the serial event loop over this engine's own heap — the whole
+// runLocal is the serial event loop over this engine's own queue — the whole
 // story for a standalone engine, and one shard's share of a parallel window
 // (the group coordinator bounds it with Limit).
 func (e *Engine) runLocal() uint64 {
@@ -240,18 +241,18 @@ func (e *Engine) runLocal() uint64 {
 	}
 	e.stopped = false
 	for !e.stopped {
-		ev := e.heap.peek()
+		ev := e.queue.peek()
 		if ev == nil {
 			break
 		}
 		if e.Limit != 0 && ev.at > e.Limit {
 			// Leave the event queued: peeking (rather than pop + push-back)
 			// means a RunUntil loop stepping below the next event's time
-			// does no heap work per step.
+			// does no queue work per step.
 			e.now = e.Limit
 			break
 		}
-		e.heap.pop()
+		e.queue.take(ev)
 		if ev.at < e.now {
 			panic("sim: event queue went backwards")
 		}
@@ -293,11 +294,11 @@ func (e *Engine) Pending() int {
 	if g := e.g; g != nil {
 		total := 0
 		for _, sh := range g.shards {
-			total += sh.heap.len()
+			total += sh.queue.len()
 		}
 		return total
 	}
-	return e.heap.len()
+	return e.queue.len()
 }
 
 // LiveProcs reports how many spawned procs have not yet returned (across

@@ -193,7 +193,7 @@ func TestHandleStaleAfterRecycle(t *testing.T) {
 	}
 	fired := false
 	fresh := e.Schedule(5, func() { fired = true }) // reuses the pooled slot
-	e.Cancel(old)                                  // stale: must be a no-op
+	e.Cancel(old)                                   // stale: must be a no-op
 	if !fresh.Pending() {
 		t.Fatal("stale Cancel killed the slot's new event")
 	}

@@ -32,14 +32,15 @@ type Event struct {
 	proc  *Proc
 
 	gen   uint32 // bumped on release; Handles carry the gen they were issued at
-	index int32  // heap position, -1 while not queued
+	index int32  // far-heap slot, inWheel in a wheel bucket, -1 while not queued
 	site  Site   // schedule-site label for the cost profiler (SiteMisc default)
-	next  *Event // free-list link while released
+	next  *Event // wheel-bucket link while queued there; free-list link while released
+	prev  *Event // wheel-bucket back link
 
-	// owner is the engine whose heap and free list hold this event — fixed
+	// owner is the engine whose queue and free list hold this event — fixed
 	// at first allocation. In a merged partition group an event can be
 	// cancelled from another shard's code (a cross-shard wake), so Cancel
-	// must reach the owning heap, not the caller's.
+	// must reach the owning queue, not the caller's.
 	owner *Engine
 }
 
@@ -57,7 +58,7 @@ type Handle struct {
 // false for the zero Handle, after the event fires or is cancelled, and for
 // a stale handle whose event slot has been recycled.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0
+	return h.ev != nil && h.ev.gen == h.gen && h.ev.index != -1
 }
 
 // Time returns the simulation time at which the event will fire, or 0 if the

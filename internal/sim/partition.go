@@ -17,11 +17,11 @@ type GroupMode int
 const (
 	// Merged shards share one logical clock, sequence counter and RNG; a
 	// single driver pops the global (time, seq) minimum across the shard
-	// heaps, so execution order — and every derived artifact — is exactly
+	// queues, so execution order — and every derived artifact — is exactly
 	// the serial engine's. Merged mode is what machine models with
 	// zero-latency cross-node state (shared scheduler decisions, global
 	// counters, shared observers) must use: it shards the event storage
-	// (heap, free list) without changing any observable ordering.
+	// (queue, free list) without changing any observable ordering.
 	Merged GroupMode = iota
 	// Parallel shards run real goroutines inside conservative lookahead
 	// windows: each round executes events in [min, min+lookahead) on all
@@ -81,7 +81,7 @@ type Group struct {
 
 // NewMergedGroup builds parts engines sharing one clock, sequence counter
 // and RNG seeded like NewEngine(seed). Running any shard executes the
-// global (time, seq) minimum across all shard heaps, which is provably the
+// global (time, seq) minimum across all shard queues, which is provably the
 // serial engine's order (sequence numbers are issued from the shared
 // counter in execution order, exactly as a single engine issues them).
 func NewMergedGroup(seed uint64, parts int) *Group {
@@ -143,7 +143,7 @@ type ShardStat struct {
 }
 
 // GroupStats snapshots the group for diagnostics (watchdog reports): per-
-// shard heap depth and clock, the last horizon, and barrier counts.
+// shard queue depth and clock, the last horizon, and barrier counts.
 type GroupStats struct {
 	Mode     GroupMode
 	Horizon  uint64 // last parallel window's exclusive upper bound (merged: the shared clock)
@@ -162,7 +162,7 @@ func (g *Group) Stats() GroupStats {
 	}
 	s.Shards = make([]ShardStat, len(g.shards))
 	for i, sh := range g.shards {
-		s.Shards[i] = ShardStat{Part: i, Now: sh.now, HeapDepth: sh.heap.len(), LiveProcs: sh.live}
+		s.Shards[i] = ShardStat{Part: i, Now: sh.now, HeapDepth: sh.queue.len(), LiveProcs: sh.live}
 		if g.mode == Merged {
 			s.Shards[i].Now = g.now
 		} else {
@@ -173,13 +173,13 @@ func (g *Group) Stats() GroupStats {
 }
 
 // minShard returns the shard whose next event is the global (time, seq)
-// minimum, or nil when every heap is empty. In merged mode sequence numbers
+// minimum, or nil when every queue is empty. In merged mode sequence numbers
 // are globally unique, so the order is total and deterministic.
 func (g *Group) minShard() *Engine {
 	var best *Engine
 	var bev *Event
 	for _, sh := range g.shards {
-		ev := sh.heap.peek()
+		ev := sh.queue.peek()
 		if ev == nil {
 			continue
 		}
@@ -199,7 +199,7 @@ func (g *Group) run(from *Engine) uint64 {
 	return g.runParallel(from)
 }
 
-// runMerged is Engine.Run generalized to N heaps: pop the global minimum,
+// runMerged is Engine.Run generalized to N queues: pop the global minimum,
 // dispatch, repeat. Everything else — limit handling, the backwards-queue
 // panic, metrics/profiler hooks, the release-before-dispatch discipline —
 // mirrors the serial loop line for line, because it must: merged mode's
@@ -217,12 +217,12 @@ func (g *Group) runMerged(from *Engine) uint64 {
 		if sh == nil {
 			break
 		}
-		ev := sh.heap.peek()
+		ev := sh.queue.peek()
 		if g.limit != 0 && ev.at > g.limit {
 			g.now = g.limit
 			break
 		}
-		sh.heap.pop()
+		sh.queue.take(ev)
 		if ev.at < g.now {
 			panic("sim: event queue went backwards")
 		}
@@ -246,7 +246,7 @@ func (g *Group) runMerged(from *Engine) uint64 {
 	return g.now
 }
 
-// runParallel executes conservative lookahead windows until every heap is
+// runParallel executes conservative lookahead windows until every queue is
 // empty, Stop is called, or the invoking engine's limit is reached. Each
 // window: find the global minimum next-event time m, run every shard
 // concurrently up to the horizon h = m + lookahead (exclusive), then drain
@@ -262,7 +262,7 @@ func (g *Group) runParallel(from *Engine) uint64 {
 		minAt := uint64(math.MaxUint64)
 		idle := true
 		for _, sh := range g.shards {
-			if ev := sh.heap.peek(); ev != nil {
+			if ev := sh.queue.peek(); ev != nil {
 				idle = false
 				if ev.at < minAt {
 					minAt = ev.at
@@ -289,7 +289,7 @@ func (g *Group) runParallel(from *Engine) uint64 {
 		// goroutines.
 		var wg sync.WaitGroup
 		for i, sh := range g.shards {
-			if ev := sh.heap.peek(); ev == nil || ev.at >= h {
+			if ev := sh.queue.peek(); ev == nil || ev.at >= h {
 				g.barrierWaits[i]++
 				continue
 			}
@@ -327,7 +327,7 @@ func (g *Group) stage(src, dst int, s staged) {
 	*q = append(*q, s)
 }
 
-// drainStaged moves every staged event onto its destination heap. Order is
+// drainStaged moves every staged event onto its destination queue. Order is
 // fixed — destination, then source partition index, then timestamp, then
 // staging sequence — so the destination sequence numbers (and therefore
 // same-cycle tie-breaks) never depend on scheduling noise. An entry below
@@ -353,7 +353,7 @@ func (g *Group) drainStaged(h uint64) {
 				ev.fnArg = s.fn
 				ev.arg = s.arg
 				ev.site = s.site
-				de.heap.push(ev)
+				de.queue.push(ev)
 				g.stagedTotal++
 				*s = staged{}
 			}
