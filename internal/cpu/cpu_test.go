@@ -434,3 +434,20 @@ func TestManyTasksDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTaskSpend measures the Spend cycle of a task alone on its CPU:
+// each Spend(1) arms the completion event and parks, the completion
+// callback wakes the same task, and the task resumes. Nothing else runs in
+// between, so the resume needs no coroutine switch.
+func BenchmarkTaskSpend(b *testing.B) {
+	e := sim.NewEngine(1)
+	c := New(e, "cpu0")
+	c.NewTask("spender", PrioUser, DomainUser, func(tk *Task) {
+		for i := 0; i < b.N; i++ {
+			tk.Spend(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

@@ -78,10 +78,9 @@ type ringStore struct {
 	slots     int
 
 	head     int // slot index of the next unread message
-	count    int // messages resident
 	reserved int // slots promised by Admit but not yet Pushed
 
-	meta []MsgMeta
+	fifo[MsgMeta] // resident messages' metadata; its length is the resident count
 
 	inserted   uint64
 	refused    uint64 // admissions refused (ring full or message oversized)
@@ -98,7 +97,7 @@ func (s *ringStore) Admit(nwords int) bool {
 		s.refused++
 		return false
 	}
-	if s.count+s.reserved >= s.slots {
+	if s.len()+s.reserved >= s.slots {
 		s.refused++
 		return false
 	}
@@ -108,23 +107,22 @@ func (s *ringStore) Admit(nwords int) bool {
 
 // Push implements Store, consuming the reservation its Admit took.
 func (s *ringStore) Push(id uint64, words []uint64, sentAt, now uint64) PushResult {
-	if s.count >= s.slots {
+	if s.len() >= s.slots {
 		panic("delivery: push to full bypass ring")
 	}
 	if s.reserved > 0 {
 		s.reserved--
 	}
-	slot := (s.head + s.count) % s.slots
+	slot := (s.head + s.len()) % s.slots
 	base := uint64(slot * s.slotWords)
 	s.space.Write(base, uint64(len(words)))
 	for i, w := range words {
 		s.space.Write(base+1+uint64(i), w)
 	}
-	s.count++
 	s.inserted++
-	s.meta = append(s.meta, MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
-	if s.count > s.maxPending {
-		s.maxPending = s.count
+	s.push(MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
+	if s.len() > s.maxPending {
+		s.maxPending = s.len()
 	}
 	return PushResult{}
 }
@@ -136,22 +134,18 @@ func (s *ringStore) InsertCost(r PushResult) uint64 { return 0 }
 // Pop implements Store: advancing the ring head is a register write; the
 // extract costs are charged by the caller.
 func (s *ringStore) Pop() (MsgMeta, uint64) {
-	if s.count == 0 {
+	if s.len() == 0 {
 		panic("delivery: pop from empty bypass ring")
 	}
-	meta := s.meta[0]
-	copy(s.meta, s.meta[1:])
-	s.meta = s.meta[:len(s.meta)-1]
 	s.head = (s.head + 1) % s.slots
-	s.count--
-	return meta, 0
+	return s.pop(), 0
 }
 
 // Empty implements Store.
-func (s *ringStore) Empty() bool { return s.count == 0 }
+func (s *ringStore) Empty() bool { return s.len() == 0 }
 
 // Pending implements Store.
-func (s *ringStore) Pending() int { return s.count }
+func (s *ringStore) Pending() int { return s.len() }
 
 // HeadLen implements Store.
 func (s *ringStore) HeadLen() int {
@@ -161,34 +155,6 @@ func (s *ringStore) HeadLen() int {
 // HeadWord implements Store.
 func (s *ringStore) HeadWord(i int) uint64 {
 	return s.space.Read(uint64(s.head*s.slotWords) + 1 + uint64(i))
-}
-
-// HeadID implements Store.
-func (s *ringStore) HeadID() (uint64, bool) {
-	if len(s.meta) == 0 {
-		return 0, false
-	}
-	return s.meta[0].ID, true
-}
-
-// HeadSentAt implements Store.
-func (s *ringStore) HeadSentAt() (uint64, bool) {
-	if len(s.meta) == 0 {
-		return 0, false
-	}
-	return s.meta[0].SentAt, true
-}
-
-// PendingIDs implements Store.
-func (s *ringStore) PendingIDs() []uint64 {
-	if len(s.meta) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(s.meta))
-	for i, m := range s.meta {
-		ids[i] = m.ID
-	}
-	return ids
 }
 
 // PagesResident implements Store: the ring is statically pinned.

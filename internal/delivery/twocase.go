@@ -41,17 +41,18 @@ type VirtualBuffer struct {
 	costs Costs
 	head  uint64 // word address of the next unread message's length word
 	tail  uint64 // word address where the next message will be written
-	count int    // messages resident (pushed, not yet fully consumed)
 
 	// Backing store ("swap"): contents of paged-out buffer pages, keyed by
 	// virtual page number. Reached via the second logical network.
 	swap map[uint64][]uint64
 
-	// meta tracks per-message timestamps in insertion order, parallel to the
-	// buffered records. It is simulator bookkeeping (latency and residency
-	// instrumentation), not simulated memory: it consumes no frames and never
-	// pages, so recording it cannot perturb experiment results.
-	meta []MsgMeta
+	// The embedded fifo tracks per-message timestamps in insertion order,
+	// parallel to the buffered records; its length is the count of resident
+	// (pushed, not yet consumed) messages. It is simulator bookkeeping
+	// (latency and residency instrumentation), not simulated memory: it
+	// consumes no frames and never pages, so recording it cannot perturb
+	// experiment results.
+	fifo[MsgMeta]
 
 	noReclaim bool // pinned-buffer ablation: never release pages
 
@@ -91,14 +92,13 @@ func (b *VirtualBuffer) Push(id uint64, words []uint64, sentAt, now uint64) Push
 		b.space.Write(b.tail+1+uint64(i), w)
 	}
 	b.tail += need
-	b.count++
 	b.inserted++
-	b.meta = append(b.meta, MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
+	b.push(MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
 	if res.NewPages > 0 {
 		b.vmallocs++
 	}
-	if b.count > b.maxPending {
-		b.maxPending = b.count
+	if b.len() > b.maxPending {
+		b.maxPending = b.len()
 	}
 	return res
 }
@@ -182,10 +182,10 @@ func (b *VirtualBuffer) pageIn(vp uint64, res PushResult) PushResult {
 }
 
 // Empty implements Store.
-func (b *VirtualBuffer) Empty() bool { return b.count == 0 }
+func (b *VirtualBuffer) Empty() bool { return b.len() == 0 }
 
 // Pending implements Store.
-func (b *VirtualBuffer) Pending() int { return b.count }
+func (b *VirtualBuffer) Pending() int { return b.len() }
 
 // HeadLen returns the length of the message at the head, restoring its page
 // from swap if it was paged out.
@@ -211,49 +211,17 @@ func (b *VirtualBuffer) touch(addr uint64) int {
 	return 1 + res.PagedOut // paging in may itself have evicted
 }
 
-// HeadID returns the packet ID of the head message, false if empty.
-func (b *VirtualBuffer) HeadID() (uint64, bool) {
-	if len(b.meta) == 0 {
-		return 0, false
-	}
-	return b.meta[0].ID, true
-}
-
-// PendingIDs lists the packet IDs of the unconsumed buffered messages, in
-// insertion order (diagnostics).
-func (b *VirtualBuffer) PendingIDs() []uint64 {
-	if len(b.meta) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(b.meta))
-	for i, m := range b.meta {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// HeadSentAt returns the injection time of the head message, false if empty.
-func (b *VirtualBuffer) HeadSentAt() (uint64, bool) {
-	if len(b.meta) == 0 {
-		return 0, false
-	}
-	return b.meta[0].SentAt, true
-}
-
 // Pop consumes the head message, unmapping buffer pages wholly behind the
 // reader so physical consumption tracks the live window. It returns the
 // consumed message's timestamps for residency accounting; disposal from the
 // buffer charges nothing beyond the extract costs the caller already pays.
 func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
-	if b.count == 0 {
+	if b.len() == 0 {
 		panic("delivery: pop from empty software buffer")
 	}
-	meta := b.meta[0]
-	copy(b.meta, b.meta[1:])
-	b.meta = b.meta[:len(b.meta)-1]
+	meta := b.pop()
 	n := b.HeadLen()
 	b.head += uint64(n) + 1
-	b.count--
 	if b.noReclaim {
 		return meta, 0
 	}
@@ -272,7 +240,7 @@ func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
 		}
 		vp = prev
 	}
-	if b.count == 0 {
+	if b.len() == 0 {
 		// Fully drained: release everything, including the page under the
 		// head/tail cursor.
 		b.space.Release()

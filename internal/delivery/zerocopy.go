@@ -49,12 +49,15 @@ type remapEntry struct {
 	nwords   int
 }
 
+func (e remapEntry) msgMeta() MsgMeta { return e.meta }
+
 // remapStore holds messages one-per-pinned-page, FIFO.
 type remapStore struct {
 	space  *vm.Space
 	costs  Costs
-	queue  []remapEntry
 	nextVp uint64 // next virtual page to flip a message into (never reused)
+
+	fifo[remapEntry] // pending messages, oldest first
 
 	fallbacks  uint64 // pushes that copied for lack of a free frame
 	maxPending int
@@ -80,18 +83,18 @@ func (s *remapStore) Push(id uint64, words []uint64, sentAt, now uint64) PushRes
 		for i, w := range words {
 			s.space.Write(base+1+uint64(i), w)
 		}
-		s.queue = append(s.queue, remapEntry{meta: meta, vp: vp, nwords: len(words)})
+		s.push(remapEntry{meta: meta, vp: vp, nwords: len(words)})
 	} else {
 		// Frame pool exhausted: degrade to a copying insert into statically
 		// allocated kernel memory so delivery still succeeds.
 		cp := make([]uint64, len(words))
 		copy(cp, words)
-		s.queue = append(s.queue, remapEntry{meta: meta, words: cp, fallback: true, nwords: len(words)})
+		s.push(remapEntry{meta: meta, words: cp, fallback: true, nwords: len(words)})
 		s.fallbacks++
 		res.Fallback = true
 	}
-	if len(s.queue) > s.maxPending {
-		s.maxPending = len(s.queue)
+	if s.len() > s.maxPending {
+		s.maxPending = s.len()
 	}
 	return res
 }
@@ -108,12 +111,10 @@ func (s *remapStore) InsertCost(r PushResult) uint64 {
 // Pop implements Store: consuming a pinned message unmaps its page (TLB
 // shootdown), releasing the frame.
 func (s *remapStore) Pop() (MsgMeta, uint64) {
-	if len(s.queue) == 0 {
+	if s.len() == 0 {
 		panic("delivery: pop from empty remap store")
 	}
-	e := s.queue[0]
-	copy(s.queue, s.queue[1:])
-	s.queue = s.queue[:len(s.queue)-1]
+	e := s.pop()
 	if e.fallback {
 		return e.meta, 0
 	}
@@ -122,51 +123,23 @@ func (s *remapStore) Pop() (MsgMeta, uint64) {
 }
 
 // Empty implements Store.
-func (s *remapStore) Empty() bool { return len(s.queue) == 0 }
+func (s *remapStore) Empty() bool { return s.len() == 0 }
 
 // Pending implements Store.
-func (s *remapStore) Pending() int { return len(s.queue) }
+func (s *remapStore) Pending() int { return s.len() }
 
 // HeadLen implements Store.
 func (s *remapStore) HeadLen() int {
-	return s.queue[0].nwords
+	return s.front().nwords
 }
 
 // HeadWord implements Store.
 func (s *remapStore) HeadWord(i int) uint64 {
-	e := &s.queue[0]
+	e := s.front()
 	if e.fallback {
 		return e.words[i]
 	}
 	return s.space.Read(e.vp*vm.PageWords + 1 + uint64(i))
-}
-
-// HeadID implements Store.
-func (s *remapStore) HeadID() (uint64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].meta.ID, true
-}
-
-// HeadSentAt implements Store.
-func (s *remapStore) HeadSentAt() (uint64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].meta.SentAt, true
-}
-
-// PendingIDs implements Store.
-func (s *remapStore) PendingIDs() []uint64 {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(s.queue))
-	for i := range s.queue {
-		ids[i] = s.queue[i].meta.ID
-	}
-	return ids
 }
 
 // PagesResident implements Store: every pending pinned message is one frame.

@@ -35,8 +35,10 @@ func BenchmarkScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkScheduleWake measures the proc wake path: a single proc sleeping
-// one cycle at a time, so each iteration is one coroutine yield and resume
-// through the event loop. The proc-carrying wake event allocates nothing.
+// one cycle at a time. Its own wake is always next, so the parked proc
+// consumes it in place and resumes without a coroutine switch; each
+// iteration is one schedule and one event step. The proc-carrying wake
+// event allocates nothing.
 func BenchmarkScheduleWake(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {

@@ -252,30 +252,43 @@ func (e *Engine) runLocal() uint64 {
 			e.now = e.Limit
 			break
 		}
-		e.queue.take(ev)
-		if ev.at < e.now {
-			panic("sim: event queue went backwards")
-		}
-		e.now = ev.at
-		e.events.Inc()
-		if e.prof != nil {
-			e.prof.tick(ev.site, e.now)
-		}
-		// Copy the callback out and recycle the slot first, so the callback
-		// itself can schedule into the freed slot.
-		if p := ev.proc; p != nil {
-			e.release(ev)
+		if p := e.step(ev); p != nil {
 			e.dispatch(p)
-		} else if fn := ev.fn; fn != nil {
-			e.release(ev)
-			fn()
-		} else {
-			fn, arg := ev.fnArg, ev.arg
-			e.release(ev)
-			fn(arg)
 		}
 	}
 	return e.now
+}
+
+// step removes ev, the event peek just returned, advances the clock to it
+// and runs its callback. A proc wake is not dispatched but returned, so the
+// caller decides how the proc resumes: runLocal dispatches it, and
+// resumeInPlace returns into it. Both loops step through here, so they
+// cannot drift apart.
+func (e *Engine) step(ev *Event) *Proc {
+	e.queue.take(ev)
+	if ev.at < e.now {
+		panic("sim: event queue went backwards")
+	}
+	e.now = ev.at
+	e.events.Inc()
+	if e.prof != nil {
+		e.prof.tick(ev.site, e.now)
+	}
+	// Copy the callback out and recycle the slot first, so the callback
+	// itself can schedule into the freed slot.
+	if p := ev.proc; p != nil {
+		e.release(ev)
+		return p
+	}
+	if fn := ev.fn; fn != nil {
+		e.release(ev)
+		fn()
+	} else {
+		fn, arg := ev.fnArg, ev.arg
+		e.release(ev)
+		fn(arg)
+	}
+	return nil
 }
 
 // RunUntil executes events up to and including time t, then returns. Events

@@ -13,6 +13,8 @@ import (
 
 // Proc is a simulated coroutine built on iter.Pull: the event loop resumes
 // it to dispatch it, and it yields back by parking (Park, Sleep, Yield).
+// On a standalone engine a parking proc first runs the loop in place and
+// skips the switch when its own wake comes next (see Engine.resumeInPlace).
 // Exactly one proc or the engine loop executes at any moment, so proc code
 // needs no locking. The coroutine is created at the first dispatch, so a
 // spawned proc that never runs owns no goroutine.
@@ -111,12 +113,40 @@ func (e *Engine) Close() {
 // proc will sleep forever (and LiveProcs will expose the leak). If the
 // engine is closed meanwhile, Park unwinds the proc instead of returning.
 func (p *Proc) Park() {
-	if p.eng.current != p {
+	e := p.eng
+	if e.current != p {
 		panic(fmt.Sprintf("sim: %s parking while not running", p.name))
+	}
+	if e.g == nil && e.resumeInPlace(p) {
+		return
 	}
 	if !p.yield(struct{}{}) {
 		panic(errUnwind)
 	}
+}
+
+// resumeInPlace runs a standalone engine's loop on the parking proc's own
+// stack, firing callbacks (in engine context: Current is nil) until p's own
+// wake is next, and then consumes that wake and reports true, so p resumes
+// without a coroutine switch. It reports false, leaving the head queued, when
+// the loop must go back to runLocal instead: the head wakes another proc, the
+// queue is empty, the head lies beyond Limit, or the engine was stopped. A
+// proc therefore never resumes another proc, so nothing nests or chains.
+func (e *Engine) resumeInPlace(p *Proc) bool {
+	e.current = nil
+	for !e.stopped {
+		ev := e.queue.peek()
+		if ev == nil || e.Limit != 0 && ev.at > e.Limit || ev.proc != nil && ev.proc != p {
+			break
+		}
+		if e.step(ev) != nil {
+			p.wake = Handle{}
+			e.current = p
+			return true
+		}
+	}
+	e.current = p
+	return false
 }
 
 // Sleep blocks the proc for exactly n cycles. A Sleep cannot be interrupted;

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -297,5 +298,177 @@ func TestCloseUnwindsMergedGroupShards(t *testing.T) {
 	}
 	if n := settledGoroutines(base); n != base {
 		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
+	}
+}
+
+// onProcStack reports whether the caller runs on a proc's coroutine stack
+// below Park, which is where a standalone engine fires the callbacks that
+// come due while a proc waits for its own wake.
+func onProcStack() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if f.Function == "fugu/internal/sim.(*Proc).Park" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+func TestSelfResumeKeepsEventOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	// note records a callback; inPlace says whether it comes due while the
+	// proc is parked, and so runs on the proc's stack.
+	note := func(s string, inPlace bool) func() {
+		return func() {
+			if e.Current() != nil {
+				t.Errorf("%s: Current = %v in a callback, want nil", s, e.Current().Name())
+			}
+			if onProcStack() != inPlace {
+				t.Errorf("%s: on the parked proc's stack = %v, want %v", s, !inPlace, inPlace)
+			}
+			order = append(order, s)
+		}
+	}
+	e.Spawn("sleeper", func(p *Proc) {
+		e.Schedule(10, note("before", true)) // queued ahead of the wake for t=10
+		e.Schedule(5, func() {
+			note("mid", true)()
+			e.Schedule(5, note("after", false)) // queued behind the wake for t=10
+		})
+		p.Sleep(10)
+		if e.Current() != p {
+			t.Errorf("Current = %v after resuming, want the proc", e.Current())
+		}
+		if p.HasPendingWake() {
+			t.Error("wake still pending after resuming")
+		}
+		order = append(order, "proc")
+	})
+	e.Run()
+	want := "[mid before proc after]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	if e.Now() != 10 || e.LiveProcs() != 0 {
+		t.Errorf("Now = %d, LiveProcs = %d; want 10 and 0", e.Now(), e.LiveProcs())
+	}
+}
+
+func TestSelfResumeStop(t *testing.T) {
+	e := NewEngine(1)
+	var resumed uint64
+	p := e.Spawn("sleeper", func(p *Proc) {
+		e.Schedule(5, e.Stop)
+		p.Sleep(10)
+		resumed = p.Now()
+	})
+	if end := e.Run(); end != 5 {
+		t.Errorf("Run stopped at %d, want 5", end)
+	}
+	if resumed != 0 || !p.HasPendingWake() || e.LiveProcs() != 1 || e.Current() != nil {
+		t.Fatalf("after Stop: resumed=%d pending=%v live=%d current=%v; want the proc parked with its wake queued",
+			resumed, p.HasPendingWake(), e.LiveProcs(), e.Current())
+	}
+	e.Run()
+	if resumed != 10 || e.LiveProcs() != 0 {
+		t.Errorf("second Run: resumed at %d with %d live, want 10 and 0", resumed, e.LiveProcs())
+	}
+}
+
+func TestSelfResumeRunUntil(t *testing.T) {
+	e := NewEngine(1)
+	var resumed uint64
+	fired := 0
+	p := e.Spawn("sleeper", func(p *Proc) {
+		e.Schedule(5, func() { fired++ })
+		p.Sleep(100)
+		resumed = p.Now()
+	})
+	for _, step := range []uint64{10, 50} {
+		if now := e.RunUntil(step); now != step || e.Now() != step {
+			t.Errorf("RunUntil(%d) = %d, Now = %d", step, now, e.Now())
+		}
+		if !p.HasPendingWake() || p.wake.Time() != 100 || resumed != 0 {
+			t.Fatalf("RunUntil(%d): wake pending=%v at %d, resumed=%d; want the wake for 100 still queued",
+				step, p.HasPendingWake(), p.wake.Time(), resumed)
+		}
+	}
+	e.Run()
+	if resumed != 100 || fired != 1 {
+		t.Errorf("resumed at %d with %d callback firings, want 100 and 1", resumed, fired)
+	}
+}
+
+func TestSelfResumeCallbackPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	unwound := 0
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Park() // never woken
+	})
+	e.Spawn("victim", func(p *Proc) {
+		defer func() { unwound++ }()
+		e.Schedule(5, func() { panic("boom in callback") })
+		p.Sleep(10)
+		t.Error("victim resumed past a panicking callback")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom in callback" {
+				t.Errorf("Run panicked with %v, want the callback's panic value", r)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned normally past a panicking callback")
+	}()
+	if unwound != 1 || e.LiveProcs() != 1 {
+		t.Errorf("after the panic: %d procs unwound, LiveProcs = %d; want 1 and 1 (the bystander)", unwound, e.LiveProcs())
+	}
+	e.Close()
+	if unwound != 2 || e.LiveProcs() != 0 {
+		t.Errorf("after Close: %d procs unwound, LiveProcs = %d; want 2 and 0", unwound, e.LiveProcs())
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
+	}
+}
+
+// TestMergedGroupProcsAlwaysYield: a shard's queue does not hold the
+// group's global minimum, so a grouped proc must go back to the merged loop
+// at every park. Shard 1's callback at each wake time was queued ahead of
+// the wake, so a proc that resumed itself from shard 0's queue would run
+// ahead of it.
+func TestMergedGroupProcsAlwaysYield(t *testing.T) {
+	g := NewMergedGroup(1, 2)
+	s0, s1 := g.Shard(0), g.Shard(1)
+	var order []string
+	s0.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			s1.Schedule(10, func() {
+				if onProcStack() {
+					t.Error("grouped callback ran on a parked proc's stack")
+				}
+				order = append(order, "s1")
+			})
+			s0.Schedule(5, func() {
+				if onProcStack() {
+					t.Error("grouped callback ran on a parked proc's stack")
+				}
+				order = append(order, "s0")
+			})
+			p.Sleep(10)
+			order = append(order, "proc")
+		}
+	})
+	s0.Run()
+	want := "[s0 s1 proc s0 s1 proc s0 s1 proc]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("order = %s, want %s", got, want)
 	}
 }
