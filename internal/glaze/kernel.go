@@ -270,7 +270,7 @@ func (k *Kernel) bufferInsert(t *cpu.Task, p *Process, pkt *mesh.Packet) {
 	if !p.buffered {
 		p.buffered = true
 		k.mEnterInsert.Inc()
-		if k.m.Trace != nil {
+		if k.m.Trace.Enabled(trace.Mode) {
 			k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (insert)", p.job.name)
 		}
 		if p.scheduled {
@@ -297,7 +297,7 @@ func (k *Kernel) timeoutISR(t *cpu.Task) {
 		return // stale timeout (mode already shifted)
 	}
 	t.Spend(k.cost.RevokeCost)
-	if k.m.Trace != nil {
+	if k.m.Trace.Enabled(trace.Mode) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
 	}
 	p.Revocations++
@@ -483,7 +483,7 @@ func (k *Kernel) exitBuffered(t *cpu.Task, p *Process) {
 	if k.m.alwaysBuffered {
 		return
 	}
-	if k.m.Trace != nil {
+	if k.m.Trace.Enabled(trace.Mode) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "exit buffered %s", p.job.name)
 	}
 	k.mExitBuffered.Inc()
@@ -539,7 +539,7 @@ func (k *Kernel) SyntheticHandlerFault(t *cpu.Task, p *Process) {
 	if k.kernelBuffered && !p.buffered {
 		p.buffered = true
 		k.mEnterFault.Inc()
-		if k.m.Trace != nil {
+		if k.m.Trace.Enabled(trace.Mode) {
 			k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (injected fault)", p.job.name)
 		}
 		p.atomicVirtual = true // the faulting handler holds atomicity
@@ -557,7 +557,7 @@ func (k *Kernel) ForceQuantumExpiry(p *Process, resumeAfter uint64) {
 	if p == nil || k.current != p {
 		return
 	}
-	if k.m.Trace != nil {
+	if k.m.Trace.Enabled(trace.Sched) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Sched, "forced quantum expiry %s", p.job.name)
 	}
 	k.switchTarget = nil
@@ -629,7 +629,7 @@ func (k *Kernel) checkOverflow(t *cpu.Task, p *Process) {
 	}
 	k.OverflowTrips++
 	k.mOverflowTrips.Inc()
-	if k.m.Trace != nil {
+	if k.m.Trace.Enabled(trace.Overflow) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "trip %s: %d/%d frames",
 			p.job.name, k.frames.InUse(), k.frames.Total())
 	}
@@ -652,7 +652,7 @@ func (k *Kernel) maybeLiftOverflow(p *Process) {
 	p.job.overflowed = false
 	p.job.overflowSeq++
 	k.mOverflowReleases.Inc()
-	if k.m.Trace != nil {
+	if k.m.Trace.Enabled(trace.Overflow) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "release %s", p.job.name)
 	}
 	k.broadcastOS(osOpResumeJob, uint64(p.gid)|p.job.overflowSeq<<16)

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"fugu/internal/delivery"
 	"fugu/internal/faultinject"
+	"fugu/internal/metrics"
+	"fugu/internal/spans"
 )
 
 // TestCrucibleSmoke runs the whole quick sweep once and demands what the CI
@@ -121,6 +124,66 @@ func TestCrucibleBalanceProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCrucibleFaultPolicyProperty is the property sweep over the fault x
+// policy cross product: for ANY random fault plan, under every registered
+// delivery policy, two runs agree on every observable (row, metrics
+// snapshot) and the span recorder reconciles against the delivery counters.
+func TestCrucibleFaultPolicyProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property sweep skipped in -short mode")
+	}
+	check := func(seed uint64, pMis, pRev, pStall uint8) bool {
+		plan := cruciblePlan{
+			name: fmt.Sprintf("policy-prop-%#x", seed),
+			arm: func(p *faultinject.Plan) {
+				w := func(b uint8, cycles uint64) faultinject.FaultSpec {
+					return faultinject.FaultSpec{
+						Prob: float64(b) / 365.0,
+						From: crucibleFaultsStart, Until: crucibleFaultsLift,
+						Cycles: cycles, Node: faultinject.AllNodes,
+					}
+				}
+				p.Arm(faultinject.GIDMismatch, w(pMis, 0))
+				p.Arm(faultinject.AtomicityTimeout, w(pRev, 0))
+				p.Arm(faultinject.LinkStall, w(pStall, 250))
+			},
+		}
+		for _, polName := range delivery.Names() {
+			pol, err := delivery.ByName(polName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() (cruciblePoint, metrics.Snapshot, *spans.Recorder) {
+				rec := spans.NewRecorder(nil)
+				opt := NewOptions(WithQuick(), WithTrials(1), WithSeed(seed),
+					WithDeliveryPolicy(pol), WithSpans(rec))
+				pt := runCrucible(plan, 0, opt)
+				return pt, pt.snap, rec
+			}
+			first, firstSnap, _ := run()
+			second, secondSnap, rec := run()
+			if !reflect.DeepEqual(first.row, second.row) {
+				t.Logf("seed=%#x policy=%s: rows diverge\n  run1 %+v\n  run2 %+v",
+					seed, polName, first.row, second.row)
+				return false
+			}
+			if !reflect.DeepEqual(firstSnap, secondSnap) {
+				t.Logf("seed=%#x policy=%s: metrics snapshots diverge", seed, polName)
+				return false
+			}
+			if probs := rec.Check(secondSnap.Counters["glaze.deliver.fast"],
+				secondSnap.Counters["glaze.deliver.buffered"]); len(probs) != 0 {
+				t.Logf("seed=%#x policy=%s: span invariants violated: %v", seed, polName, probs)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 6}); err != nil {
 		t.Error(err)
 	}
 }

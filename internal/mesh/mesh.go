@@ -112,7 +112,7 @@ type Net struct {
 
 	// engs maps each node to its partition engine, nil when the whole mesh
 	// lives on one engine. parallel is set when those engines belong to a
-	// parallel group: injections then route through the conservative
+	// partition group: injections then route through the conservative
 	// staging protocol and per-node ID lanes (see ShardEngines).
 	engs     []*sim.Engine
 	parallel bool
@@ -199,9 +199,9 @@ func New(eng *sim.Engine, w, h int, lat LatencyModel) *Net {
 	return net
 }
 
-// ShardEngines places each node on its partition engine (engs[node]); the
-// constructor engine remains the default for nodes past the slice. With a
-// parallel group, packet IDs switch to per-source lanes (src<<40 | seq) and
+// ShardEngines places each node on its partition engine (engs[node]); engs
+// must hold exactly one engine per node, or ShardEngines panics. With a
+// partition group, packet IDs switch to per-source lanes (src<<40 | seq) and
 // UseMetrics/UseSpans/UseFaults must not be used — those observers are
 // shared mutable state, exactly what parallel partitions cannot have.
 func (n *Net) ShardEngines(engs []*sim.Engine) {
@@ -209,7 +209,7 @@ func (n *Net) ShardEngines(engs []*sim.Engine) {
 		panic(fmt.Sprintf("mesh: ShardEngines got %d engines for %d nodes", len(engs), n.Nodes()))
 	}
 	n.engs = engs
-	n.parallel = engs[0].Group() != nil && engs[0].Group().Mode() == sim.Parallel
+	n.parallel = engs[0].Group() != nil
 	if n.parallel {
 		n.ids = make([]uint64, n.Nodes())
 	}

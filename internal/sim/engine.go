@@ -51,18 +51,11 @@ func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRand(seed)}
 }
 
-// Now returns the current simulation time in cycles. Shards of a merged
-// group share one clock.
-func (e *Engine) Now() uint64 {
-	if e.g != nil && e.g.mode == Merged {
-		return e.g.now
-	}
-	return e.now
-}
+// Now returns the current simulation time in cycles.
+func (e *Engine) Now() uint64 { return e.now }
 
-// Rand returns the engine's deterministic random source. Shards of a merged
-// group share one stream (they interleave in one global order); parallel
-// shards each own an independent stream.
+// Rand returns the engine's deterministic random source. Each shard of a
+// partition group owns an independent stream.
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // alloc takes an event from the free list (or the allocator, while the pool
@@ -71,23 +64,14 @@ func (e *Engine) Rand() *Rand { return e.rng }
 func (e *Engine) alloc(delay uint64) *Event {
 	ev := e.free
 	if ev == nil {
-		ev = &Event{owner: e}
+		ev = &Event{}
 	} else {
 		e.free = ev.next
 		ev.next = nil
 	}
-	if g := e.g; g != nil && g.mode == Merged {
-		// Merged shards share the clock and the sequence counter, so
-		// schedule order — and therefore every tie-break — is the global
-		// order a single serial engine would have issued.
-		ev.at = g.now + delay
-		ev.seq = g.seq
-		g.seq++
-	} else {
-		ev.at = e.now + delay
-		ev.seq = e.seq
-		e.seq++
-	}
+	ev.at = e.now + delay
+	ev.seq = e.seq
+	e.seq++
 	ev.site = SiteMisc
 	return ev
 }
@@ -183,43 +167,29 @@ func (e *Engine) ScheduleArgAtSite(site Site, at uint64, fn func(any), arg any) 
 }
 
 // Cancel removes a pending event; cancelling an already-fired, already-
-// cancelled or zero handle is a no-op. The removal happens on the owning
-// engine's queue, so cancelling a cross-shard wake inside a merged group is
-// safe.
+// cancelled or zero handle is a no-op.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || ev.index == -1 {
 		return
 	}
-	ow := ev.owner
-	ow.queue.remove(ev)
-	ow.release(ev)
+	e.queue.remove(ev)
+	e.release(ev)
 }
 
-// Stop makes Run return after the current event completes. Stopping any
-// shard of a merged group stops the whole group; in a parallel group the
-// stopping shard's window ends and the coordinator stops at its barrier
-// (other shards finish their current window — the conservative semantics).
+// Stop makes Run return after the current event completes. In a partition
+// group the stopping shard's window ends and the coordinator stops at its
+// barrier (other shards finish their current window — the conservative
+// semantics).
 func (e *Engine) Stop() {
-	if g := e.g; g != nil {
-		if g.mode == Merged {
-			g.stopped = true
-			return
-		}
-		e.stopped = true
-		g.parStop.Store(true)
-		return
-	}
 	e.stopped = true
+	if g := e.g; g != nil {
+		g.stop.Store(true)
+	}
 }
 
 // Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool {
-	if g := e.g; g != nil && g.mode == Merged {
-		return g.stopped
-	}
-	return e.stopped
-}
+func (e *Engine) Stopped() bool { return e.stopped }
 
 // Run executes events until the queue empties, Stop is called, or the time
 // Limit is exceeded. It returns the final simulation time. A Stop from a
@@ -314,20 +284,10 @@ func (e *Engine) Pending() int {
 	return e.queue.len()
 }
 
-// LiveProcs reports how many spawned procs have not yet returned (across
-// every shard, for a grouped engine). A nonzero value after Run drains the
-// queue usually indicates deadlock: procs parked with nobody left to wake
-// them.
-func (e *Engine) LiveProcs() int {
-	if g := e.g; g != nil {
-		total := 0
-		for _, sh := range g.shards {
-			total += sh.live
-		}
-		return total
-	}
-	return e.live
-}
+// LiveProcs reports how many spawned procs have not yet returned. A nonzero
+// value after Run drains the queue usually indicates deadlock: procs parked
+// with nobody left to wake them.
+func (e *Engine) LiveProcs() int { return e.live }
 
 // Current returns the proc currently running, or nil when the engine loop
 // (or an event callback) is executing.

@@ -36,12 +36,6 @@ type Event struct {
 	site  Site   // schedule-site label for the cost profiler (SiteMisc default)
 	next  *Event // wheel-bucket link while queued there; free-list link while released
 	prev  *Event // wheel-bucket back link
-
-	// owner is the engine whose queue and free list hold this event — fixed
-	// at first allocation. In a merged partition group an event can be
-	// cancelled from another shard's code (a cross-shard wake), so Cancel
-	// must reach the owning queue, not the caller's.
-	owner *Engine
 }
 
 // Handle is a cancellable reference to a scheduled event. The zero Handle is

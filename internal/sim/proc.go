@@ -3,18 +3,15 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"iter"
-	"runtime/pprof"
-	"strconv"
 )
 
 // Proc is a simulated coroutine built on iter.Pull: the event loop resumes
 // it to dispatch it, and it yields back by parking (Park, Sleep, Yield).
-// On a standalone engine a parking proc first runs the loop in place and
-// skips the switch when its own wake comes next (see Engine.resumeInPlace).
+// A parking proc first runs the loop in place and skips the switch when its
+// own wake comes next (see Engine.resumeInPlace).
 // Exactly one proc or the engine loop executes at any moment, so proc code
 // needs no locking. The coroutine is created at the first dispatch, so a
 // spawned proc that never runs owns no goroutine.
@@ -56,13 +53,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer p.finish()
-	if e := p.eng; e.g != nil {
-		// Label grouped procs so a CPU profile slices by partition, under
-		// the experiment/point labels inherited from the harness worker.
-		pprof.Do(context.Background(), pprof.Labels("partition", strconv.Itoa(e.part)), func(context.Context) { p.fn(p) })
-	} else {
-		p.fn(p)
-	}
+	p.fn(p)
 }
 
 // finish retires a proc that returned, unwound or panicked. Only the unwind
@@ -117,7 +108,7 @@ func (p *Proc) Park() {
 	if e.current != p {
 		panic(fmt.Sprintf("sim: %s parking while not running", p.name))
 	}
-	if e.g == nil && e.resumeInPlace(p) {
+	if e.resumeInPlace(p) {
 		return
 	}
 	if !p.yield(struct{}{}) {
@@ -125,7 +116,7 @@ func (p *Proc) Park() {
 	}
 }
 
-// resumeInPlace runs a standalone engine's loop on the parking proc's own
+// resumeInPlace runs the engine's loop on the parking proc's own
 // stack, firing callbacks (in engine context: Current is nil) until p's own
 // wake is next, and then consumes that wake and reports true, so p resumes
 // without a coroutine switch. It reports false, leaving the head queued, when

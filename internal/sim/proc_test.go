@@ -283,24 +283,6 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	}
 }
 
-func TestCloseUnwindsMergedGroupShards(t *testing.T) {
-	base := runtime.NumGoroutine()
-	g := NewMergedGroup(1, 2)
-	for i := 0; i < g.Parts(); i++ {
-		g.Shard(i).Spawn("stuck", func(p *Proc) { p.Park() })
-	}
-	g.Shard(0).Run()
-	for i := 0; i < g.Parts(); i++ {
-		g.Shard(i).Close()
-	}
-	if got := g.Shard(0).LiveProcs(); got != 0 {
-		t.Errorf("LiveProcs = %d after closing every shard, want 0", got)
-	}
-	if n := settledGoroutines(base); n != base {
-		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
-	}
-}
-
 // onProcStack reports whether the caller runs on a proc's coroutine stack
 // below Park, which is where a standalone engine fires the callbacks that
 // come due while a proc waits for its own wake.
@@ -436,39 +418,5 @@ func TestSelfResumeCallbackPanic(t *testing.T) {
 	}
 	if n := settledGoroutines(base); n != base {
 		t.Errorf("goroutines = %d after Close, want the baseline %d", n, base)
-	}
-}
-
-// TestMergedGroupProcsAlwaysYield: a shard's queue does not hold the
-// group's global minimum, so a grouped proc must go back to the merged loop
-// at every park. Shard 1's callback at each wake time was queued ahead of
-// the wake, so a proc that resumed itself from shard 0's queue would run
-// ahead of it.
-func TestMergedGroupProcsAlwaysYield(t *testing.T) {
-	g := NewMergedGroup(1, 2)
-	s0, s1 := g.Shard(0), g.Shard(1)
-	var order []string
-	s0.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			s1.Schedule(10, func() {
-				if onProcStack() {
-					t.Error("grouped callback ran on a parked proc's stack")
-				}
-				order = append(order, "s1")
-			})
-			s0.Schedule(5, func() {
-				if onProcStack() {
-					t.Error("grouped callback ran on a parked proc's stack")
-				}
-				order = append(order, "s0")
-			})
-			p.Sleep(10)
-			order = append(order, "proc")
-		}
-	})
-	s0.Run()
-	want := "[s0 s1 proc s0 s1 proc s0 s1 proc]"
-	if got := fmt.Sprint(order); got != want {
-		t.Errorf("order = %s, want %s", got, want)
 	}
 }
