@@ -18,12 +18,17 @@ type Enum struct {
 	Side      int // pegs per side (the paper runs 6)
 	ShipEvery int // ship the children of every k-th expansion
 
-	moves     [][3]int
+	moves     []enumMove
 	holes     int
 	solutions []uint64
 	expanded  []uint64
 	done      bool
 }
+
+// enumMove is one jump rule as bit masks: the move applies when every
+// need bit (the jumping peg and the peg jumped over) is set and the to bit
+// (the landing hole) is clear.
+type enumMove struct{ need, to uint64 }
 
 // NewEnum configures the puzzle. ShipEvery 4 ships a quarter of all
 // expansions to other nodes, keeping communication fine-grained without
@@ -60,7 +65,8 @@ func (s *Enum) prepare() {
 				o, ok1 := idx[over]
 				t, ok2 := idx[to]
 				if ok1 && ok2 {
-					s.moves = append(s.moves, [3]int{idx[[2]int{r, i}], o, t})
+					from := uint64(1) << idx[[2]int{r, i}]
+					s.moves = append(s.moves, enumMove{need: from | 1<<o, to: 1 << t})
 				}
 			}
 		}
@@ -77,9 +83,8 @@ func (s *Enum) initial() uint64 {
 func (s *Enum) expand(state uint64, visit func(uint64)) int {
 	children := 0
 	for _, m := range s.moves {
-		from, over, to := uint64(1)<<m[0], uint64(1)<<m[1], uint64(1)<<m[2]
-		if state&from != 0 && state&over != 0 && state&to == 0 {
-			visit(state&^from&^over | to)
+		if state&m.need == m.need && state&m.to == 0 {
+			visit(state&^m.need | m.to)
 			children++
 		}
 	}

@@ -230,10 +230,9 @@ func (k *Kernel) mismatchISR(t *cpu.Task) {
 			k.m.Net.Release(k.node, pkt)
 			continue
 		}
-		// No release after bufferInsert: the delivery store may retain the
-		// packet's Words (zero-copy remap installs them as the page).
 		k.bufferInsert(t, p, pkt)
 		k.ni.KDispose()
+		k.m.Net.Release(k.node, pkt)
 	}
 }
 
@@ -342,7 +341,7 @@ func (k *Kernel) contextSwitchTo(t *cpu.Task, p *Process) {
 	k.mCtxSwitches.Inc()
 	if old := k.current; old != nil {
 		old.uacShadow = k.ni.UAC()
-		old.descShadow = k.ni.ClearDescriptor()
+		old.descShadow = k.ni.ClearDescriptor(old.descShadow[:0])
 		old.scheduled = false
 		old.suspendTasks()
 	}
@@ -358,7 +357,7 @@ func (k *Kernel) contextSwitchTo(t *cpu.Task, p *Process) {
 	k.ni.RestoreUAC(p.uacShadow)
 	if len(p.descShadow) > 0 {
 		k.ni.Describe(p.descShadow...)
-		p.descShadow = nil
+		p.descShadow = p.descShadow[:0]
 	}
 	// Transparency at quantum start: a process with buffered messages
 	// resumes in buffered mode and drains before touching the NI. A bypass

@@ -340,33 +340,38 @@ func (p *Process) WaitThrottle(t *cpu.Task) {
 
 // Tasks returns the process's tasks (main, upcall, spawned threads) for
 // diagnostics.
-func (p *Process) Tasks() []*cpu.Task { return p.tasks() }
-
-// tasks iterates the process's tasks.
-func (p *Process) tasks() []*cpu.Task {
+func (p *Process) Tasks() []*cpu.Task {
 	ts := make([]*cpu.Task, 0, 2+len(p.extra))
-	if p.main != nil {
-		ts = append(ts, p.main)
-	}
-	ts = append(ts, p.upcall)
-	ts = append(ts, p.extra...)
+	p.eachTask(func(t *cpu.Task) { ts = append(ts, t) })
 	return ts
 }
 
-func (p *Process) suspendTasks() {
-	for _, t := range p.tasks() {
-		if !t.Done() {
-			t.Suspend()
-		}
+// eachTask calls f on the main task (if started), the upcall task and the
+// spawned threads, in that order, without building a slice.
+func (p *Process) eachTask(f func(*cpu.Task)) {
+	if p.main != nil {
+		f(p.main)
+	}
+	f(p.upcall)
+	for _, t := range p.extra {
+		f(t)
 	}
 }
 
+func (p *Process) suspendTasks() {
+	p.eachTask(func(t *cpu.Task) {
+		if !t.Done() {
+			t.Suspend()
+		}
+	})
+}
+
 func (p *Process) resumeTasks() {
-	for _, t := range p.tasks() {
+	p.eachTask(func(t *cpu.Task) {
 		if !t.Done() {
 			t.Resume()
 		}
-	}
+	})
 }
 
 // Job is a gang-scheduled parallel application: one process per node, all

@@ -148,7 +148,7 @@ func (m *Machine) Diagnose(reason string) *spans.Report {
 				fmt.Fprintf(&b, " buf-msg-ids=%v", ids)
 			}
 			b.WriteByte('\n')
-			for _, t := range p.tasks() {
+			for _, t := range p.Tasks() {
 				fmt.Fprintf(&b, "  task %-28s %s\n", t.Name(), t.StateName())
 			}
 		}

@@ -54,6 +54,10 @@ type Packet struct {
 	// as mismatched regardless of the stamp (deterministic fault
 	// injection); the kernel still demultiplexes it by its real header.
 	FaultMismatch bool
+
+	// released marks a packet sitting in a free list; only meshpoison
+	// builds set and check it (see poison).
+	released bool
 }
 
 // Len returns the packet length in words.
@@ -136,10 +140,13 @@ type Net struct {
 	// sender, Refused by the receiver — so parallel partitions never write
 	// the same word; StatsFor sums them.
 	stats [numClasses][]Stats
-	// pool recycles packets per node: Acquire pops the node's free list,
-	// Release pushes it. Per-node lists keep the pool partition-clean (a
-	// node only ever touches its own lane from its own engine).
-	pool [][]*Packet
+	// pool holds one packet free list per engine, and poolOf maps each
+	// node to its engine's list (all zeros until ShardEngines). Acquire
+	// pops the sender's engine's list and Release pushes the receiver's,
+	// so skewed traffic still recycles, and a parallel partition only
+	// ever touches its own engine's list.
+	pool   [][]*Packet
+	poolOf []int32
 
 	// Metrics instruments, nil (no-op) unless UseMetrics is called.
 	mPackets [numClasses]*metrics.Counter
@@ -183,7 +190,8 @@ func New(eng *sim.Engine, w, h int, lat LatencyModel) *Net {
 	n := w * h
 	net := &Net{eng: eng, w: w, h: h, lat: lat}
 	net.deliverFn = func(arg any) { net.deliver(arg.(*Packet)) }
-	net.pool = make([][]*Packet, n)
+	net.pool = make([][]*Packet, 1)
+	net.poolOf = make([]int32, n)
 	for c := range net.endpoints {
 		net.endpoints[c] = make([]Endpoint, n)
 		net.blocked[c] = make([][]*Packet, n)
@@ -210,6 +218,21 @@ func (n *Net) ShardEngines(engs []*sim.Engine) {
 	}
 	n.engs = engs
 	n.parallel = engs[0].Group() != nil
+	// owners[i] is the engine of free list i. The scan starts at the
+	// newest list, so contiguous node blocks per engine cost O(1) each.
+	var owners []*sim.Engine
+	for node, e := range engs {
+		p := len(owners) - 1
+		for p >= 0 && owners[p] != e {
+			p--
+		}
+		if p < 0 {
+			p = len(owners)
+			owners = append(owners, e)
+		}
+		n.poolOf[node] = int32(p)
+	}
+	n.pool = make([][]*Packet, len(owners))
 	if n.parallel {
 		n.ids = make([]uint64, n.Nodes())
 	}
@@ -263,18 +286,23 @@ func (n *Net) StatsFor(class Class) Stats {
 }
 
 // Acquire returns a packet whose Words slice has length words, recycled
-// from the node's free list when one is available. The caller fills Words
-// and injects with SendPacket; a receiver done with a packet hands it back
-// via Release. Pooling never changes event order or RNG draws, so results
-// are identical to freshly allocated packets.
+// from the free list of the engine owning node when one is available. The
+// caller fills Words and injects with SendPacket; whoever ends the
+// packet's delivery hands it back, exactly once, via Release. Pooling
+// never changes event order or RNG draws, so results are identical to
+// freshly allocated packets.
 func (n *Net) Acquire(node, words int) *Packet {
 	var pkt *Packet
-	if q := n.pool[node]; len(q) > 0 {
+	p := n.poolOf[node]
+	if q := n.pool[p]; len(q) > 0 {
 		pkt = q[len(q)-1]
 		q[len(q)-1] = nil
-		n.pool[node] = q[:len(q)-1]
+		n.pool[p] = q[:len(q)-1]
 	} else {
 		pkt = &Packet{}
+	}
+	if poison {
+		pkt.released = false
 	}
 	if cap(pkt.Words) < words {
 		pkt.Words = make([]uint64, words)
@@ -284,19 +312,36 @@ func (n *Net) Acquire(node, words int) *Packet {
 	return pkt
 }
 
-// Release returns a packet to node's free list. Callers must only release
-// packets no component still references: the fast-dispose and kernel-drop
-// paths qualify (the message words were consumed before disposal); the
-// buffered paths do not (the delivery store may retain Words).
+// poisonWord overwrites a released packet's ID and Words in meshpoison
+// builds.
+const poisonWord = 0xdead_dead_dead_dead
+
+// Release returns a packet to the free list of the engine owning node, the
+// node where its delivery ended. Every terminal path releases: fast
+// dispose, the kernel's drop and OS-network handlers, the buffered insert
+// and the NI's offload demux. No component may touch a released packet:
+// every delivery store copies the words out before the release.
 func (n *Net) Release(node int, pkt *Packet) {
-	n.pool[node] = append(n.pool[node], pkt)
+	if poison {
+		if pkt.released {
+			panic("mesh: packet released twice")
+		}
+		pkt.released = true
+		pkt.ID = poisonWord
+		for i := range pkt.Words {
+			pkt.Words[i] = poisonWord
+		}
+	}
+	p := n.poolOf[node]
+	n.pool[p] = append(n.pool[p], pkt)
 }
 
 // Send injects a packet. words[0] must already hold the routing header; the
 // destination is passed explicitly since header encoding belongs to the NI.
 // Delivery is in order per (src, dst, class) pair and costs
 // Base + PerHop*hops + PerWord*len cycles; local sends (src == dst) skip the
-// hop cost but still traverse the interface.
+// hop cost but still traverse the interface. The packet carries the
+// caller's slice, so it must not be released into the pool.
 func (n *Net) Send(class Class, src, dst int, words []uint64) *Packet {
 	pkt := n.Acquire(src, 0)
 	pkt.Words = words

@@ -282,3 +282,56 @@ func TestShortPacketCannotOvertakeLong(t *testing.T) {
 		t.Error("arrival times not strictly ordered")
 	}
 }
+
+// TestPoolPerEngine pins the free-list keying: on one engine a packet
+// released at one node is handed to an Acquire at any other node, while
+// after ShardEngines each engine recycles only what its own nodes release.
+func TestPoolPerEngine(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := New(e, 4, 1, DefaultLatency())
+	pkt := n.Acquire(0, 2)
+	n.Release(3, pkt)
+	if got := n.Acquire(1, 2); got != pkt {
+		t.Fatal("single engine: a packet released at node 3 was not reused by node 1")
+	}
+
+	g := sim.NewParallelGroup(1, 2, 2)
+	n = New(g.Shard(0), 4, 1, DefaultLatency())
+	n.ShardEngines([]*sim.Engine{g.Shard(0), g.Shard(0), g.Shard(1), g.Shard(1)})
+	pkt = n.Acquire(0, 2)
+	n.Release(3, pkt)
+	if got := n.Acquire(1, 2); got == pkt {
+		t.Fatal("sharded: node 1 took a packet from the other engine's list")
+	}
+	if got := n.Acquire(2, 2); got != pkt {
+		t.Fatal("sharded: node 2 did not reuse the packet its engine's node 3 released")
+	}
+}
+
+// TestReleasePoison checks the meshpoison hook: a released packet's ID and
+// words read as poison, a second release panics, and Acquire clears the
+// mark so the recycled packet can be released again.
+func TestReleasePoison(t *testing.T) {
+	if !poison {
+		t.Skip("needs go test -tags meshpoison")
+	}
+	n := New(sim.NewEngine(1), 2, 1, DefaultLatency())
+	pkt := n.Acquire(0, 3)
+	pkt.ID, pkt.Words[0] = 7, 7
+	n.Release(1, pkt)
+	if pkt.ID != poisonWord || pkt.Words[0] != poisonWord || pkt.Words[2] != poisonWord {
+		t.Fatalf("released packet not poisoned: ID %#x words %#x", pkt.ID, pkt.Words)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("double release did not panic")
+			}
+		}()
+		n.Release(1, pkt)
+	}()
+	if got := n.Acquire(0, 3); got != pkt {
+		t.Fatal("the poisoned packet was not recycled")
+	}
+	n.Release(0, pkt) // the mark was cleared: no panic
+}

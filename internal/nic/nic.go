@@ -507,6 +507,9 @@ func (ni *NI) demuxLoop() {
 		ni.demuxed++
 		ni.mDemuxed.Inc()
 		ni.popHead()
+		// The store copied the words and popHead cleared signaled: the
+		// packet is dead.
+		ni.net.Release(ni.node, pkt)
 	}
 	ni.demuxing = false
 }
@@ -553,12 +556,14 @@ func (ni *NI) Describe(words ...uint64) {
 // described and not yet launched (the state a context switch would swap).
 func (ni *NI) DescriptorLength() int { return len(ni.out) }
 
-// ClearDescriptor abandons the current descriptor (kernel context-switch
-// path: the descriptor is unloaded and later reloaded via Describe).
-func (ni *NI) ClearDescriptor() []uint64 {
-	d := ni.out
-	ni.out = nil
-	return d
+// ClearDescriptor unloads the current descriptor (kernel context-switch
+// path): it appends the described words to dst, empties the descriptor and
+// returns the extended dst; the kernel later reloads it via Describe. The
+// NI keeps reusing its own array, so the saved words alias nothing in it.
+func (ni *NI) ClearDescriptor(dst []uint64) []uint64 {
+	dst = append(dst, ni.out...)
+	ni.out = ni.out[:0]
+	return dst
 }
 
 // Launch implements the launch operation of Table 1. With user privilege a
@@ -580,9 +585,8 @@ func (ni *NI) Launch(kernelPriv bool) Trap {
 		// Kernel sending on behalf of itself without a stamp: kernel GID.
 		h = stampGID(h, KernelGID)
 	}
-	// The descriptor is copied into a pooled packet (recycled by the
-	// fast-dispose and kernel-drop paths), so steady-state launches do not
-	// allocate.
+	// The descriptor is copied into a pooled packet (recycled by whichever
+	// path ends its delivery), so steady-state launches do not allocate.
 	pkt := ni.net.Acquire(ni.node, len(ni.out))
 	copy(pkt.Words, ni.out)
 	pkt.Words[0] = h

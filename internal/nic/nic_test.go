@@ -372,10 +372,17 @@ func TestMismatchRaisedOncePerHead(t *testing.T) {
 func TestClearDescriptorContextSwitch(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.ni[0].Describe(MakeHeader(1), xhandler, 5)
-	saved := r.ni[0].ClearDescriptor()
+	saved := r.ni[0].ClearDescriptor(nil)
 	if len(saved) != 3 || r.ni[0].DescriptorLength() != 0 {
 		t.Fatal("ClearDescriptor did not unload")
 	}
+	// The NI reuses its array for the next descriptor; the saved copy must
+	// not alias it.
+	r.ni[0].Describe(7, 7, 7)
+	if saved[0] != MakeHeader(1) || saved[2] != 5 {
+		t.Fatalf("saved descriptor %v overwritten by a later Describe", saved)
+	}
+	r.ni[0].ClearDescriptor(nil)
 	// Reload and launch later, as the kernel would on switch-back.
 	r.ni[0].Describe(saved...)
 	r.ni[0].SetGID(3)

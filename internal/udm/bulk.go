@@ -14,6 +14,11 @@ import "fmt"
 // must not register handlers in the reserved range 0xf0-0xff.
 const hBulkFrag = 0xf0
 
+// bulkFragWords sizes InjectBulk's stack fragment: enough for the
+// argument words of a 130-word descriptor, twice the 64 words the
+// experiments configure.
+const bulkFragWords = 128
+
 // bulkXfer is one in-flight reassembly.
 type bulkXfer struct {
 	handler uint64
@@ -37,13 +42,18 @@ func (e *Env) InjectBulk(dst int, handler uint64, data ...uint64) {
 		e.Inject(dst, hBulkFrag, id, 0, 0, handler)
 		return
 	}
+	// Each fragment is built on this call's stack: Describe copies the
+	// words, and the array is per call, so an upcall's InjectBulk cannot
+	// clobber a fragment the main thread is parked on inside inject. A
+	// descriptor larger than the array still works; its fragments spill to
+	// the heap.
+	var frag [bulkFragWords]uint64
 	for off := 0; off < len(data); off += max {
 		end := off + max
 		if end > len(data) {
 			end = len(data)
 		}
-		args := make([]uint64, 0, 4+end-off)
-		args = append(args, id, uint64(off), uint64(len(data)), handler)
+		args := append(frag[:0], id, uint64(off), uint64(len(data)), handler)
 		args = append(args, data[off:end]...)
 		e.Inject(dst, hBulkFrag, args...)
 	}
